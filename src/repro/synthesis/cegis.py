@@ -16,11 +16,11 @@ substitutes the candidate and solves a fresh, folded query; the
 ``incremental`` mode (see ``repro.synthesis.incremental``) stages each
 candidate's folded negation, selector-guarded, into one persistent
 per-formula verifier — interned AIG regions, SAT variables and learned
-clauses all survive across iterations and instructions, and polish runs
-per-hole assumption scans on the same core.  Both sides run under a
-cooperative
-``repro.runtime.Budget`` (wall clock, conflicts, memory) so Table 1's
-timeout rows reproduce faithfully, and every UNKNOWN is typed:
+clauses all survive across iterations and instructions.  After
+convergence, polish runs lexicographic-minimum CEGIS on the same guess
+solver (see :func:`_lex_min_polish`).  Both sides run under a
+cooperative ``repro.runtime.Budget`` (wall clock, conflicts, memory) so
+Table 1's timeout rows reproduce faithfully, and every UNKNOWN is typed:
 
 * ``reason="deadline"``/``"memory"`` → :class:`SynthesisTimeout` — more
   attempts cannot help;
@@ -73,6 +73,7 @@ class CegisStats:
         self.guess_conflicts = 0
         self.retries = 0
         self.polish_checks = 0
+        self.polish_conflicts = 0
         self.solver_instances = 0
         self.aig_nodes = 0
         self.tseitin_clauses = 0
@@ -90,6 +91,7 @@ class CegisStats:
             "guess_conflicts": self.guess_conflicts,
             "retries": self.retries,
             "polish_checks": self.polish_checks,
+            "polish_conflicts": self.polish_conflicts,
             "solver_instances": self.solver_instances,
             "aig_nodes": self.aig_nodes,
             "tseitin_clauses": self.tseitin_clauses,
@@ -121,20 +123,22 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     assumption — no per-iteration solver construction, shared interned
     AIG (so shared SAT variables) between consecutive candidates, and
     learned clauses that survive across iterations *and* across
-    instructions sharing the context.  Polish opens per-hole scan
-    verifiers (``assert_scan``) whose trial values ride as assumption
-    bits on a reused trail.  The substitution path
+    instructions sharing the context.  The substitution path
     (``incremental=False``) is retained as the ablation baseline.
 
     ``canonicalize=True`` (the default) polishes the converged candidate:
-    hole bits are greedily zeroed, most-significant first in hole order,
-    keeping each flip only if the candidate still verifies.  Don't-care
-    bits — where the verify search would otherwise return an arbitrary,
-    pipeline-dependent pick — land on a canonical value, so fresh and
-    incremental runs synthesize identical control logic (and the control
-    union sees fewer spurious groups).  Each polish probe is one verify
-    check: an assumption query in incremental mode, a substitution solve
-    otherwise.
+    each hole, in hole order, drops to the least value that still
+    verifies with the other holes fixed.  Don't-care bits — where the
+    verify search would otherwise return an arbitrary, pipeline-dependent
+    pick — land on a canonical value, so fresh and incremental runs
+    synthesize identical control logic (and the control union sees fewer
+    spurious groups).  Polish is lexicographic-minimum CEGIS: an
+    MSB-first descent of the hole's bits on the guess solver proposes
+    the least value no counterexample refutes yet, and one ordinary
+    verify check accepts it or returns a counterexample that refutes
+    it, so most values are ruled out without a verify of their own.
+    ``stats.polish_checks`` counts those verify checks and
+    ``stats.polish_conflicts`` the conflicts polish spent.
 
     ``budget`` is a ``repro.runtime.Budget`` shared by both CEGIS sides
     (``timeout`` is folded into it); ``retry_policy`` governs escalation on
@@ -264,37 +268,59 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
         stats.verify_conflicts += verifier.conflicts - conflicts_before
         return verdict, verifier
 
-    scan_probe = None
-    if incremental and partial_eval:
-        def scan_probe(var, fixed):
-            """Open a per-hole polish scan; returns ``probe(value)``.
+    def guess(assumptions=()):
+        """One guess-solver check; returns its verdict."""
+        started = time.monotonic()
+        with _obs.span("cegis.guess"):
+            conflicts_before = guess_solver.conflicts
+            verdict = _checked(guess_solver, budget, retry_policy, stats,
+                               side="candidate search",
+                               assumptions=assumptions)
+        stats.guess_time += time.monotonic() - started
+        stats.guess_conflicts += guess_solver.conflicts - conflicts_before
+        return verdict
 
-            One staged fold (every hole but ``var`` pinned) serves the
-            whole scan — each trial value is then a pure assumption
-            check whose prefix (selector + the scanned hole's shared low
-            bits) the core's trail reuse keeps across probes.
-            """
-            solver, sel = incremental_ctx.assert_scan(
-                formula, fixed, hole_by_name, var.name)
-            single = {var.name: var}
+    def learn(verifier):
+        """Constrain the guess solver by a SAT verify's counterexample;
+        returns the counterexample's values."""
+        model = verifier.model()
+        cex_values = {
+            var.name: _validated(model, var, side="verification")
+            for var in forall_vars
+        }
+        counterexample = {
+            var: T.bv_const(cex_values[var.name], var.width)
+            for var in forall_vars
+        }
+        started = time.monotonic()
+        with _obs.span("cegis.guess"):
+            guess_solver.add(T.substitute(formula, counterexample))
+        stats.guess_time += time.monotonic() - started
+        return cex_values
 
-            def probe(value):
-                started = time.monotonic()
-                with _obs.span("cegis.verify", mode=verify_mode):
-                    conflicts_before = solver.conflicts
-                    assumptions = [sel]
-                    assumptions += candidate_assumptions(
-                        single, {var.name: value})
-                    try:
-                        return _checked(solver, budget, retry_policy,
-                                        stats, side="verification",
-                                        assumptions=assumptions)
-                    finally:
-                        stats.verify_time += time.monotonic() - started
-                        stats.verify_conflicts += (solver.conflicts
-                                                   - conflicts_before)
+    def least_unrefuted(var, cand):
+        """The least value of ``var`` no counterexample refutes yet, with
+        every other hole pinned to ``cand``.
 
-            return probe
+        Descends ``var``'s bits MSB-first under assumptions on the guess
+        solver.  ``cand`` itself satisfies every learned constraint, so
+        its value is the first witness; a bit is only checked where the
+        witness has it set, and each SAT answer becomes the new witness.
+        """
+        pinned = candidate_assumptions(
+            hole_by_name,
+            {name: value for name, value in cand.items()
+             if name != var.name})
+        witness = cand[var.name]
+        decided = []
+        for i in reversed(range(var.width)):
+            bit = T.bv_extract(var, i, i)
+            if (witness >> i) & 1 and guess(
+                    pinned + decided + [T.bv_not(bit)]) is SAT:
+                witness = _validated(guess_solver.model(), var,
+                                     side="candidate search")
+            decided.append(bit if (witness >> i) & 1 else T.bv_not(bit))
+        return witness
 
     for _ in range(max_iterations):
         stats.iterations += 1
@@ -306,33 +332,18 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
             verdict, verifier = verify_candidate(candidate)
             if verdict is UNSAT:
                 if canonicalize:
+                    conflicts_before = stats.conflicts
                     with _obs.span("cegis.polish"):
-                        candidate = _zero_polish(candidate, hole_vars,
-                                                 verify_candidate, stats,
-                                                 scan_probe)
+                        candidate = _lex_min_polish(
+                            candidate, hole_vars, verify_candidate,
+                            least_unrefuted, learn, stats)
+                    stats.polish_conflicts += (stats.conflicts
+                                               - conflicts_before)
                 return dict(candidate)
-            model = verifier.model()
-            cex_values = {
-                var.name: _validated(model, var, side="verification")
-                for var in forall_vars
-            }
-            counterexample = {
-                var: T.bv_const(cex_values[var.name], var.width)
-                for var in forall_vars
-            }
-            _record_counterexample(cex_values, forall_vars, stats)
             # -- guess ------------------------------------------------------
-            started = time.monotonic()
-            with _obs.span("cegis.guess"):
-                folded = T.substitute(formula, counterexample)
-                conflicts_before = guess_solver.conflicts
-                guess_solver.add(folded)
-                verdict = _checked(guess_solver, budget, retry_policy, stats,
-                                   side="candidate search")
-            stats.guess_time += time.monotonic() - started
-            stats.guess_conflicts += (guess_solver.conflicts
-                                      - conflicts_before)
-            if verdict is UNSAT:
+            cex_values = learn(verifier)
+            _record_counterexample(cex_values, forall_vars, stats)
+            if guess() is UNSAT:
                 raise SynthesisFailure(
                     "no hole constants satisfy the specification; the "
                     "datapath sketch cannot implement this instruction"
@@ -383,47 +394,43 @@ def _record_counterexample(values, forall_vars, stats):
                  vars=len(values), vcd=path)
 
 
-def _zero_polish(candidate, hole_vars, verify_candidate, stats,
-                 scan_probe=None):
-    """Canonicalize a verified candidate by minimizing each hole's value.
+def _lex_min_polish(candidate, hole_vars, verify_candidate,
+                    least_unrefuted, learn, stats):
+    """Canonicalize a verified candidate: each hole, in order, takes the
+    least value that still verifies with the other holes held fixed.
 
-    Walks the holes in their given order; for each, scans values upward
-    from 0 and keeps the first one the candidate still verifies with
-    (holding the other holes fixed).  Forced holes never change (every
-    smaller value fails the check); don't-care and partially-constrained
-    holes land on their minimum — the same value regardless of which
-    arbitrary pick the search happened to find, making the result
-    independent of the pipeline.  Per-bit greedy clearing would not be
-    canonical here: a hole whose valid set is e.g. {0, 5} cannot walk
-    from 5 to 0 one bit at a time.  Polish is best-effort: a budget
-    expiry or solver fault mid-polish keeps the already-verified
+    This is lexicographic-minimum CEGIS on the run's own guess solver,
+    which already holds every counterexample.  ``least_unrefuted``
+    proposes the least value they do not refute; if that is the current
+    value the hole is done, else one ``verify_candidate`` check decides
+    the trial — UNSAT means it is the least valid value, SAT yields a
+    counterexample that ``learn`` adds before the next proposal.  Only
+    truly invalid values are ever refuted, so the result equals an
+    exhaustive upward scan's: forced holes keep their value, don't-care
+    and partially-constrained holes land on their minimum whatever pick
+    the search found, which makes the result pipeline-independent.  The
+    valid set need not be contiguous (e.g. {0, 5}), which is why per-bit
+    greedy clearing would not be canonical.  Polish is best-effort: a
+    budget expiry or solver fault mid-polish keeps the already-verified
     candidate instead of failing the instruction.
-
-    ``scan_probe`` (incremental mode) opens one per-hole scan verifier
-    and decides each trial by assumption check; the fallback re-verifies
-    full trial candidates through ``verify_candidate``.  Both decide the
-    identical query, so the polished values cannot depend on the path.
     """
     candidate = dict(candidate)
     for var in hole_vars:
-        if not candidate[var.name]:
-            continue
-        probe = scan_probe(var, candidate) if scan_probe is not None else None
-        for value in range(candidate[var.name]):
-            stats.polish_checks += 1
+        while candidate[var.name]:
             try:
-                if probe is not None:
-                    verdict = probe(value)
-                else:
-                    trial = dict(candidate)
-                    trial[var.name] = value
-                    verdict, _ = verify_candidate(trial)
+                least = least_unrefuted(var, candidate)
+                if least == candidate[var.name]:
+                    break
+                trial = dict(candidate)
+                trial[var.name] = least
+                stats.polish_checks += 1
+                verdict, verifier = verify_candidate(trial)
+                if verdict is UNSAT:
+                    candidate = trial
+                    break
+                learn(verifier)
             except (SynthesisTimeout, SolverUnknown):
                 return candidate
-            if verdict is UNSAT:
-                candidate = dict(candidate)
-                candidate[var.name] = value
-                break
     return candidate
 
 

@@ -23,14 +23,14 @@ Three layers of waste in the fresh pipeline, and what replaces them:
    variant — assert once with holes free, assume one literal per hole
    bit — was measured against this and retired: extending the
    assignment over the full symbolic cone costs more per check than
-   the folded stage-plus-solve on every workload shape.  Per-hole
-   assumption scans survive where they win: ``assert_scan`` stages a
-   fold with a single hole left free for polish/minimize probe loops,
-   whose per-value checks are pure assumption solves with a reused
-   trail prefix.  Retirement of a superseded instance (asserting its
-   selector's negation) is deferred to the *next* staging on that
-   formula, because retiring backtracks the shared core to level 0 and
-   would destroy the SAT model a caller has yet to read.
+   the folded stage-plus-solve on every workload shape.  Polish and
+   control minimization decide their trial values on the same path,
+   one folded instance per trial (polish proposes its trials from the
+   guess solver, so most values never reach the verifier).  Retirement
+   of a superseded instance (asserting its selector's negation) is
+   deferred to the *next* staging on that formula, because retiring
+   backtracks the shared core to level 0 and would destroy the SAT
+   model a caller has yet to read.
 
 3. **Encode-once plumbing.**  All per-formula verifiers share one
    verifier-side ``BitBlaster`` (and the context carries a shared
@@ -266,8 +266,8 @@ class IncrementalContext:
         self.guess_blaster = BitBlaster()
         self._verifiers = {}
         self._folded = {}
-        #: formula -> (instance key, live selector) for the one guarded
-        #: instance currently staged on that formula's folded verifier.
+        #: formula -> live selector of the one guarded instance
+        #: currently staged on that formula's folded verifier.
         self._active = {}
         self._counter = 0
 
@@ -296,32 +296,6 @@ class IncrementalContext:
             self._folded[formula] = solver
         return solver
 
-    def _stage(self, formula, key, substitution):
-        """Stage one guarded instance of ``¬formula`` with ``substitution``
-        folded in; retires the formula's previous instance first.
-
-        Retirement is deferred to the *next* staging rather than done by
-        the caller because retiring (a permanent ``¬selector`` assert)
-        backtracks the shared core to level 0, which destroys the model
-        of a SAT verdict the caller has not read yet.
-        """
-        solver = self._folded_solver(formula)
-        active = self._active.get(formula)
-        if active is not None:
-            if active[0] == key:
-                return solver, active[1]
-            # Unit ¬selector satisfies the retired instance's root
-            # clauses at level 0, so the core's between-solves
-            # simplification deletes them; the shared Tseitin
-            # definitions below stay for structure sharing.
-            solver.add(T.bv_not(active[1]))
-        self._counter += 1
-        selector = T.bv_var(f"cegis!fold!{self._counter}", 1)
-        solver.add(T.implies(selector,
-                             T.bv_not(T.substitute(formula, substitution))))
-        self._active[formula] = (key, selector)
-        return solver, selector
-
     def assert_folded(self, formula, substitution):
         """Stage a candidate-folded instance of ``¬formula``; returns
         ``(solver, selector)`` — check under ``assumptions=[selector]``.
@@ -335,36 +309,28 @@ class IncrementalContext:
         instances share most interned AIG nodes — and therefore SAT
         variables — which keeps the encode delta small and lets learned
         clauses carry over between candidates (a repeat UNSAT proof is
-        often conflict-free).  The staged instance is retired
-        automatically when the next one is staged.
+        often conflict-free).
+
+        The formula's previous instance is retired here, at the *next*
+        staging, rather than by the caller: retiring (a permanent
+        ``¬selector`` assert) backtracks the shared core to level 0,
+        which destroys the model of a SAT verdict the caller has not
+        read yet.
         """
+        solver = self._folded_solver(formula)
+        retired = self._active.get(formula)
+        if retired is not None:
+            # Unit ¬selector satisfies the retired instance's root
+            # clauses at level 0, so the core's between-solves
+            # simplification deletes them; the shared Tseitin
+            # definitions below stay for structure sharing.
+            solver.add(T.bv_not(retired))
         self._counter += 1
-        return self._stage(formula, ("fold", self._counter), substitution)
-
-    def assert_scan(self, formula, fixed_values, hole_by_name, free_name):
-        """Stage ``¬formula`` folded over every hole except ``free_name``;
-        returns ``(solver, selector)``.
-
-        This is the per-hole scan primitive behind polish and
-        minimization: the fixed holes collapse the datapath as in
-        :meth:`assert_folded`, but the scanned hole stays symbolic, so
-        each trial value is a pure assumption check —
-        ``[selector] + candidate_assumptions(...)`` — with zero new
-        encoding.  Consecutive probes share the selector and the scanned
-        hole's low bits, which is exactly the assumption-prefix shape
-        the core's trail reuse keeps.  Re-requesting the same scan (same
-        formula, same fixed values, same free hole) returns the live
-        instance instead of staging a new one.
-        """
-        key = ("scan", free_name,
-               tuple(sorted((name, value)
-                            for name, value in fixed_values.items()
-                            if name != free_name)))
-        substitution = {
-            hole_by_name[name]: T.bv_const(value, hole_by_name[name].width)
-            for name, value in fixed_values.items() if name != free_name
-        }
-        return self._stage(formula, key, substitution)
+        selector = T.bv_var(f"cegis!fold!{self._counter}", 1)
+        solver.add(T.implies(selector,
+                             T.bv_not(T.substitute(formula, substitution))))
+        self._active[formula] = selector
+        return solver, selector
 
 
 def candidate_assumptions(hole_by_name, candidate):

@@ -26,11 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.smt import terms as T
 from repro.smt.solver import Solver, UNSAT
-from repro.synthesis.incremental import (
-    IncrementalContext,
-    candidate_assumptions,
-    resolve_pipeline,
-)
+from repro.synthesis.incremental import IncrementalContext, resolve_pipeline
 from repro.synthesis.per_instruction import instruction_formula
 from repro.synthesis.result import InstructionSolution
 
@@ -58,27 +54,18 @@ class MinimizationReport:
         return "\n".join(lines)
 
 
-def _verifies(formula, trace, hole_values, timeout, probe_hole, ctx=None):
-    if ctx is not None:
-        # Scan path: fold every hole except the one being merged into
-        # the formula's persistent verifier (staged once per
-        # instruction-and-fixed-values, reused across merge targets),
-        # then decide this probe as a pure assumption check on the
-        # merged hole's bits.
-        solver, sel = ctx.assert_scan(
-            formula, hole_values, trace.hole_values, probe_hole)
-        assumptions = [sel] + candidate_assumptions(
-            {probe_hole: trace.hole_values[probe_hole]},
-            {probe_hole: hole_values[probe_hole]},
-        )
-        return solver.check(timeout=timeout,
-                            assumptions=assumptions) is UNSAT
+def _verifies(formula, trace, hole_values, timeout, ctx=None):
     substitution = {
         trace.hole_values[name]: T.bv_const(
             value, trace.hole_values[name].width
         )
         for name, value in hole_values.items()
     }
+    if ctx is not None:
+        # Stage the folded probe on the formula's persistent verifier,
+        # the same query the incremental CEGIS verify decides.
+        solver, sel = ctx.assert_folded(formula, substitution)
+        return solver.check(timeout=timeout, assumptions=[sel]) is UNSAT
     solver = Solver()
     solver.add(T.bv_not(T.substitute(formula, substitution)))
     return solver.check(timeout=timeout) is UNSAT
@@ -95,8 +82,8 @@ def minimize_solutions(problem, solutions, timeout_per_check=20.0,
 
     ``pipeline="incremental"`` (the default) serves every formula from
     the problem's shared trace cache — free when synthesis already ran
-    incrementally — and runs all merge probes as assumption checks
-    against per-formula persistent verifiers; ``"fresh"`` re-derives each formula
+    incrementally — and stages every merge probe as a folded instance on
+    per-formula persistent verifiers; ``"fresh"`` re-derives each formula
     under a ``min{index}!`` prefix and builds a solver per probe.
     """
     started = time.monotonic()
@@ -139,7 +126,7 @@ def minimize_solutions(problem, solutions, timeout_per_check=20.0,
                 formula, trace = formulas[name]
                 report.checks += 1
                 if _verifies(formula, trace, candidate,
-                             timeout_per_check, hole, ctx=ctx):
+                             timeout_per_check, ctx=ctx):
                     current[name] = candidate
                     report.merged += 1
         report.distinct_after[hole] = len(

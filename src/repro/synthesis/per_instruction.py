@@ -141,4 +141,6 @@ def _synthesize_instruction(problem, instruction, index, started, timeout,
         aig_nodes=encode_delta["aig_nodes"],
         tseitin_clauses=encode_delta["tseitin_clauses"],
         trace_cache_hits=encode_delta["trace_cache_hits"],
+        polish_checks=stats.polish_checks,
+        polish_conflicts=stats.polish_conflicts,
     )

@@ -86,7 +86,8 @@ class InstructionSolution:
     ``tseitin_clauses``, ``trace_cache_hits``) are deltas of the
     process-global ``repro.smt.counters`` taken across this instruction's
     synthesis — exact in serial runs, jointly attributed under concurrent
-    dispatch.
+    dispatch.  ``polish_checks`` and ``polish_conflicts`` are the verify
+    checks and the SAT conflicts candidate canonicalization spent.
     """
 
     instruction_name: str
@@ -99,6 +100,8 @@ class InstructionSolution:
     aig_nodes: int = 0
     tseitin_clauses: int = 0
     trace_cache_hits: int = 0
+    polish_checks: int = 0
+    polish_conflicts: int = 0
 
     def to_dict(self):
         return {
@@ -112,6 +115,8 @@ class InstructionSolution:
             "aig_nodes": self.aig_nodes,
             "tseitin_clauses": self.tseitin_clauses,
             "trace_cache_hits": self.trace_cache_hits,
+            "polish_checks": self.polish_checks,
+            "polish_conflicts": self.polish_conflicts,
         }
 
     @classmethod
@@ -127,6 +132,8 @@ class InstructionSolution:
             aig_nodes=int(data.get("aig_nodes", 0)),
             tseitin_clauses=int(data.get("tseitin_clauses", 0)),
             trace_cache_hits=int(data.get("trace_cache_hits", 0)),
+            polish_checks=int(data.get("polish_checks", 0)),
+            polish_conflicts=int(data.get("polish_conflicts", 0)),
         )
 
 

@@ -114,6 +114,23 @@ def test_aes_state_hole_dispatches_on_round(synthesized):
     assert result.hole_exprs["state"] == ast.Const(0, 2)
 
 
+#: Per-instruction ceiling on the SAT conflicts candidate canonicalization
+#: may spend.  Lex-min polish needs single digits here, while a polish
+#: probe that leaves FinalRound's scanned hole symbolic costs ~300k.
+#: Counts rather than wall time, so the guard does not flake.
+POLISH_CONFLICT_CEILING = 10_000
+
+
+def test_aes_polish_stays_cheap(synthesized):
+    _, result = synthesized
+    assert any(s.polish_checks for s in result.per_instruction)
+    for solution in result.per_instruction:
+        assert solution.polish_conflicts < POLISH_CONFLICT_CEILING, (
+            solution.instruction_name, solution.polish_conflicts)
+        assert solution.to_dict()["polish_conflicts"] == \
+            solution.polish_conflicts
+
+
 def _run_accelerator(design, plaintext, key, cycles=11):
     sim = CompiledSimulator(
         design,

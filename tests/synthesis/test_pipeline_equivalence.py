@@ -4,8 +4,9 @@ The incremental pipeline (shared datapath trace, assumption-based CEGIS
 verify, encode-once solving) must be a pure performance change: on the
 same problem it has to synthesize the *same* control logic as the fresh
 pipeline, and the merged result must still pass the independent verifier.
-Candidate canonicalization (``_zero_polish``) is what makes equality
-well-defined — don't-care hole bits land on the same canonical value in
+Candidate canonicalization (lex-min polish, ``cegis._lex_min_polish``)
+is what makes equality well-defined — every hole drops to its least
+valid value, so don't-care hole bits land on the same canonical value in
 both pipelines instead of whatever each solver search happened to find.
 
 A subset of RV32I single-cycle instructions keeps this inside tier-1
@@ -16,6 +17,7 @@ time; the full-ISA comparison lives in the nightly bench lane
 import pytest
 
 from repro.designs import riscv
+from repro.smt.backends import SolverConfig
 from repro.synthesis import synthesize, verify_design
 
 # R-type, I-type and U-type cover the three hole-constraint shapes
@@ -31,7 +33,8 @@ def both_pipelines():
             "RV32I", "single_cycle", instructions=SUBSET
         )
         results[pipeline] = (
-            problem, synthesize(problem, timeout=300, pipeline=pipeline)
+            problem, synthesize(problem, timeout=300,
+                                config=SolverConfig(pipeline=pipeline))
         )
     return results
 
